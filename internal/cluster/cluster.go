@@ -796,14 +796,19 @@ type InvariantReport struct {
 }
 
 // CheckInvariants audits the write logs against live nodes and
-// refreshes the lost-acked-writes metric.
+// refreshes the lost-acked-writes metric. Each node is probed at most
+// once per audit: the logs ask about the same few nodes once per
+// acknowledged write, and a Ping can cost a full node health snapshot.
 func (c *Cluster) CheckInvariants() InvariantReport {
+	alive := make([]int8, len(c.nodes)) // 0 unprobed, 1 live, -1 down
 	live := func(ni int) bool {
-		n := c.nodes[ni]
-		if s := n.getState(); s == nodeDead {
-			return false
+		if alive[ni] == 0 {
+			alive[ni] = -1
+			if n := c.nodes[ni]; n.getState() != nodeDead && n.be.Ping() == nil {
+				alive[ni] = 1
+			}
 		}
-		return n.be.Ping() == nil
+		return alive[ni] > 0
 	}
 	lost, unapplied := 0, 0
 	for _, lg := range c.shards {

@@ -244,11 +244,71 @@ type tx struct {
 	startCycle uint64
 }
 
+// rngLen and rngTap are the lag and tap of math/rand's additive
+// lagged-Fibonacci generator: past its seeded register, the source
+// emits y[k] = y[k-rngLen] + y[k-rngTap] (mod 2^64).
+const (
+	rngLen = 607
+	rngTap = 273
+)
+
+// replaySource is a rand.Source64 whose output is the stream of
+// rand.NewSource(seed), and which rewinds to the start of that stream
+// in O(1). It holds the seeded source's first rngLen outputs; past
+// them it continues the source's own recurrence over its last rngLen
+// outputs, kept in ring. The ring is filled from the prefix the first
+// time a stream draws past it, so rewinding is just n = 0.
+type replaySource struct {
+	prefix [rngLen]uint64 // first rngLen outputs of rand.NewSource(seed)
+	ring   [rngLen]uint64 // the last rngLen outputs, once past the prefix
+	// n counts the outputs drawn since the last rewind, saturating at
+	// rngLen+1 once the ring is in use.
+	n int
+	// feed and tap index y[k-rngLen] and y[k-rngTap] in ring for the
+	// next output y[k].
+	feed, tap int
+}
+
+// Seed draws the prefix of seed's stream and rewinds to its start.
+func (r *replaySource) Seed(seed int64) {
+	src := rand.NewSource(seed).(rand.Source64)
+	for i := range r.prefix {
+		r.prefix[i] = src.Uint64()
+	}
+	r.n = 0
+}
+
+// Uint64 returns the next output of the replayed stream.
+func (r *replaySource) Uint64() uint64 {
+	if r.n < rngLen {
+		r.n++
+		return r.prefix[r.n-1]
+	}
+	if r.n == rngLen {
+		r.n++
+		r.ring = r.prefix
+		r.feed, r.tap = 0, rngLen-rngTap
+	}
+	v := r.ring[r.feed] + r.ring[r.tap]
+	r.ring[r.feed] = v
+	if r.feed++; r.feed == rngLen {
+		r.feed = 0
+	}
+	if r.tap++; r.tap == rngLen {
+		r.tap = 0
+	}
+	return v
+}
+
+// Int63 matches math/rand's source: the stream's low 63 bits.
+func (r *replaySource) Int63() int64 { return int64(r.Uint64() & (1<<63 - 1)) }
+
 // System models the HTM of one multi-core processor.
 type System struct {
 	cfg   Config
 	cores []tx
-	rng   *rand.Rand
+	src   replaySource
+	rng   *rand.Rand // draws from src
 	Stats Stats
 	// Trace, when non-nil, receives a tx lifecycle event (begin,
 	// commit, abort with cause) for every transaction. The HTM layer
@@ -265,8 +325,9 @@ func NewSystem(ncores int, cfg Config) *System {
 	s := &System{
 		cfg:   cfg,
 		cores: make([]tx, ncores),
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
 	}
+	s.src.Seed(cfg.Seed)
+	s.rng = rand.New(&s.src)
 	s.Stats.Aborted = make(map[Cause]uint64)
 	return s
 }
@@ -274,16 +335,26 @@ func NewSystem(ncores int, cfg Config) *System {
 // Config returns the system configuration.
 func (s *System) Config() Config { return s.cfg }
 
-// Reset returns the system to its post-NewSystem state: all per-core
+// Reset returns the system to its post-NewSystem state, so a reused
+// system behaves identically to a freshly constructed one: all per-core
 // transactional state is discarded, the statistics are zeroed, and the
-// spontaneous-abort RNG is re-seeded, so a reused system behaves
-// identically to a freshly constructed one.
+// spontaneous-abort RNG is rewound to the start of cfg.Seed's stream.
+// It allocates nothing: the read/write-set maps and the Stats.Aborted
+// map are cleared in place (a Stats copy taken before Reset shares that
+// map and sees it emptied), and the rewind replays the seeded stream
+// instead of re-seeding a source.
 func (s *System) Reset() {
 	for i := range s.cores {
-		s.cores[i] = tx{}
+		t := &s.cores[i]
+		t.active, t.doomed, t.startCycle = false, CauseNone, 0
+		clear(t.readSet)
+		clear(t.writeSet)
+		clear(t.writeVals)
+		clear(t.setCount)
 	}
-	s.rng = rand.New(rand.NewSource(s.cfg.Seed))
-	s.Stats = Stats{Aborted: make(map[Cause]uint64)}
+	s.src.n = 0
+	clear(s.Stats.Aborted)
+	s.Stats = Stats{Aborted: s.Stats.Aborted}
 }
 
 // InTx reports whether core is currently executing a transaction

@@ -1,6 +1,10 @@
 package htm
 
-import "testing"
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+)
 
 func quietConfig() Config {
 	cfg := DefaultConfig()
@@ -312,5 +316,70 @@ func TestSuspendOnInterrupt(t *testing.T) {
 	}
 	if _, ok := s.Commit(0, 100001, func(a, v uint64) {}); !ok {
 		t.Fatal("suspended tx failed to commit")
+	}
+}
+
+// TestReplaySourceMatchesMathRand pins the spontaneous-abort stream to
+// math/rand's: a System's RNG draws exactly what rand.New(
+// rand.NewSource(seed)) draws, from NewSystem and after every Reset,
+// whether the previous run stopped inside the replayed prefix or after
+// the recurrence ring took over.
+func TestReplaySourceMatchesMathRand(t *testing.T) {
+	const draws = 5000
+	// 104733 is a serve rebuild seed: base 1 + instance id 2 + 1 +
+	// generation 1 × 104729.
+	for _, seed := range []int64{0, 1, -5, 1 << 40, 104733} {
+		cfg := DefaultConfig()
+		cfg.Seed = seed
+		s := NewSystem(1, cfg)
+		check := func(phase string) {
+			t.Helper()
+			want := rand.New(rand.NewSource(seed))
+			for i := 0; i < draws; i++ {
+				if got, w := s.rng.Intn(1_000_000), want.Intn(1_000_000); got != w {
+					t.Fatalf("seed %d, %s: draw %d = %d, want %d", seed, phase, i, got, w)
+				}
+			}
+		}
+		check("fresh")
+		s.Reset()
+		check("rewound after ring filled")
+		s.Reset()
+		for i := 0; i < rngLen/2; i++ {
+			s.rng.Intn(1_000_000)
+		}
+		s.Reset()
+		check("rewound mid-prefix")
+	}
+}
+
+// TestResetKeepsSetsAndClearsThem: Reset reuses the per-core maps and
+// the abort map, empties them, and allocates nothing.
+func TestResetKeepsSetsAndClearsThem(t *testing.T) {
+	s := NewSystem(2, DefaultConfig())
+	dirty := func() {
+		s.Begin(0, 0)
+		s.Read(0, 0x1000, 1)
+		s.Write(0, 0x2000, 7, 2)
+		s.Abort(0, 3, CauseExplicit)
+		s.Begin(1, 0)
+		s.Write(1, 0x3000, 9, 1)
+	}
+	dirty()
+	s.Reset()
+	fresh := NewSystem(2, DefaultConfig())
+	if !reflect.DeepEqual(s.Stats, fresh.Stats) {
+		t.Fatalf("stats after Reset %+v, want %+v", s.Stats, fresh.Stats)
+	}
+	for c := 0; c < 2; c++ {
+		if s.InTx(c) || s.ReadSetSize(c) != 0 || s.WriteSetSize(c) != 0 {
+			t.Fatalf("core %d: tx state survived Reset", c)
+		}
+		if s.cores[c].readSet == nil {
+			t.Fatalf("core %d: Reset dropped the read-set map", c)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { dirty(); s.Reset() }); n != 0 {
+		t.Fatalf("Begin/Reset cycle allocates %.1f times, want 0", n)
 	}
 }

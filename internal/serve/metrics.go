@@ -161,10 +161,10 @@ type Metrics struct {
 
 	hist latencyHist
 	// queueHist and execHist split each response's latency at the
-	// instant its batch run started: queue wait (queueing + retry
-	// backoffs) and execution (VM run + verification). Each keeps its
-	// own reservoir so the split has the same percentile fidelity as
-	// the end-to-end histogram.
+	// instant its batch started executing: queue wait (queueing + retry
+	// backoffs) and execution (machine reset, request pokes, VM run and
+	// verification). Each keeps its own reservoir so the split has the
+	// same percentile fidelity as the end-to-end histogram.
 	queueHist latencyHist
 	execHist  latencyHist
 

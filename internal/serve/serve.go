@@ -500,6 +500,10 @@ func (s *Server) runBatch(inst *instance, batch []*item) {
 	s.metrics.busy(1)
 	defer s.metrics.busy(-1)
 
+	// Execution starts now: everything before this instant was
+	// queueing (including retry backoffs); the machine reset, the
+	// request pokes, the run and verification are execution.
+	runStart := time.Now()
 	if inst.usedSinceReset {
 		inst.mach.Reset()
 	}
@@ -579,9 +583,6 @@ func (s *Server) runBatch(inst *instance, batch []*item) {
 		s.metrics.injectedFault()
 	}
 
-	// The run starts now: everything before this instant was queueing
-	// (including retry backoffs), everything after is execution.
-	runStart := time.Now()
 	for _, it := range batch {
 		s.event(obs.Event{Kind: obs.KindExec, Actor: int32(inst.id),
 			A: it.id, TraceID: it.tid})
@@ -702,9 +703,10 @@ func (s *Server) runBatch(inst *instance, batch []*item) {
 	exec := now.Sub(runStart)
 	for i, it := range deliverItems {
 		lat := now.Sub(it.enqueued)
-		// Split the end-to-end latency at the instant the batch run
-		// started: queue wait covers queueing and retry backoffs, exec
-		// covers the VM run plus verification. The two sum to lat.
+		// Split the end-to-end latency at the instant the batch
+		// started executing: queue wait covers queueing and retry
+		// backoffs, exec covers the machine reset, request pokes, VM
+		// run and verification. The two sum to lat.
 		s.metrics.response(lat, lat-exec, exec)
 		s.event(obs.Event{Kind: obs.KindResponse, Actor: int32(inst.id),
 			A: it.id, B: uint64(lat), TraceID: it.tid})
@@ -845,9 +847,16 @@ func (s *Server) submit(req Request, wait bool) (uint64, error) {
 		return 0, ErrClosed
 	default:
 	}
+	// Count the request as outstanding BEFORE the draining check:
+	// Shutdown sets draining and then waits for outstanding to reach
+	// zero, so either this check sees the drain or the drain sees this
+	// request — never neither, which would Close under an admitted
+	// request.
+	s.outstanding.Add(1)
 	if s.draining.Load() {
 		// A draining server admits nothing new; in-flight requests
 		// keep running until Shutdown's drain completes.
+		s.outstanding.Add(-1)
 		return 0, ErrClosed
 	}
 	s.metrics.request()
@@ -860,10 +869,6 @@ func (s *Server) submit(req Request, wait bool) (uint64, error) {
 		done:     make(chan result, 1),
 	}
 	s.event(obs.Event{Kind: obs.KindRequest, A: it.id, TraceID: it.tid})
-	// Count the request as outstanding BEFORE the enqueue attempt so
-	// the drain path can never observe a momentary zero while a just-
-	// admitted request races between queue and worker.
-	s.outstanding.Add(1)
 	if wait {
 		select {
 		case s.queue <- it:

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -368,6 +369,40 @@ func TestServeShutdownDrain(t *testing.T) {
 	}
 	if got := s.outstanding.Load(); got != 0 {
 		t.Fatalf("outstanding after drain = %d, want 0", got)
+	}
+}
+
+// TestServeShutdownDrainRace stresses the admission/drain handshake:
+// Shutdown runs the instant a lone request has been counted, when no
+// other request is outstanding. A counted request has been admitted,
+// so it must complete; a server that counted it before registering it
+// as outstanding would Close underneath it.
+func TestServeShutdownDrainRace(t *testing.T) {
+	rounds := 300
+	if testing.Short() {
+		rounds = 50
+	}
+	for r := 0; r < rounds; r++ {
+		s, err := NewServer(testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		errc := make(chan error, 1)
+		go func() {
+			_, err := s.Get(uint64(r % s.Records()))
+			errc <- err
+		}()
+		for counted := uint64(0); counted == 0; runtime.Gosched() {
+			s.metrics.mu.Lock()
+			counted = s.metrics.requests
+			s.metrics.mu.Unlock()
+		}
+		if err := s.Shutdown(10 * time.Second); err != nil {
+			t.Fatalf("round %d: shutdown: %v", r, err)
+		}
+		if err := <-errc; err != nil {
+			t.Fatalf("round %d: admitted request dropped by the drain: %v", r, err)
+		}
 	}
 }
 

@@ -368,6 +368,7 @@ func (m *Machine) commitTx(c *core) bool {
 	}
 	cause, ok := m.HTM.Commit(c.id, c.sched.Now(), func(addr, val uint64) {
 		m.mem[addr/8] = val
+		m.dirty(addr)
 	})
 	if ok {
 		if c.hadExplicit {

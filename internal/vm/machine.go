@@ -365,6 +365,11 @@ type Machine struct {
 
 	mem      []uint64
 	memBytes uint64
+	// dirtyLo/dirtyHi bound the word indices written since the machine
+	// was built or last Reset ([dirtyLo, dirtyHi), empty when dirtyLo
+	// >= dirtyHi). Every write into mem widens it, so Reset restores
+	// only that range.
+	dirtyLo, dirtyHi int
 
 	cores    []*core
 	locks    map[uint64]*lockState
@@ -439,6 +444,7 @@ func newMachine(m *ir.Module, p *Program, nthreads int, cfg Config) *Machine {
 	for _, g := range m.Globals {
 		copy(mach.mem[g.Addr/8:], g.Init)
 	}
+	mach.dirtyLo = len(mach.mem) // nothing written yet
 	for i := 0; i < nthreads; i++ {
 		c := &core{
 			id:         i,
@@ -466,18 +472,25 @@ func (m *Machine) SetFaultPlan(p *FaultPlan) {
 func (m *Machine) SetFaultPlans(ps []*FaultPlan) { m.faults = ps }
 
 // Reset returns the machine to its post-New state so it can run again
-// without re-cloning the module or reallocating memory: globals are
-// re-initialized, the heap and stacks are zeroed, the HTM system and
-// per-core scoreboards restart from cycle 0, and all statistics are
-// cleared. A reused machine is byte-identical in behavior to a fresh
-// one (the serve layer's warm-pool contract); installed tracers and
-// breakpoints survive, armed fault plans do not.
+// without re-cloning the module or reallocating memory: the memory the
+// previous run wrote is zeroed and its globals re-initialized, the HTM
+// system and per-core scoreboards restart from cycle 0, and all
+// statistics are cleared. A reused machine is byte-identical in
+// behavior to a fresh one (the serve layer's warm-pool contract);
+// installed tracers and breakpoints survive, armed fault plans do not.
+// Its cost is proportional to the written word range, not to the
+// machine's memory, and it allocates nothing.
 func (m *Machine) Reset() {
-	for i := range m.mem {
-		m.mem[i] = 0
-	}
-	for _, g := range m.Mod.Globals {
-		copy(m.mem[g.Addr/8:], g.Init)
+	if lo, hi := m.dirtyLo, m.dirtyHi; lo < hi {
+		clear(m.mem[lo:hi])
+		for _, g := range m.Mod.Globals {
+			base := int(g.Addr / 8)
+			a, b := max(lo, base), min(hi, base+len(g.Init))
+			if a < b {
+				copy(m.mem[a:b], g.Init[a-base:b-base])
+			}
+		}
+		m.dirtyLo, m.dirtyHi = len(m.mem), 0
 	}
 	m.HTM.Reset()
 	clear(m.locks)
@@ -489,7 +502,7 @@ func (m *Machine) Reset() {
 	m.stats = RunStats{}
 	m.faults = nil
 	for _, c := range m.cores {
-		c.sched = cpu.NewSched(m.Cfg.IssueWidth)
+		c.sched.Reset()
 		c.frames = c.frames[:0]
 		c.state = threadDone
 		c.attempts = 0
@@ -720,6 +733,7 @@ func (m *Machine) memFaultPre(c *core, addr uint64, load bool) (uint64, *FaultPl
 func (m *Machine) flipWord(c *core, addr uint64, p *FaultPlan) {
 	if addr%8 == 0 && addr >= 8 && addr+8 <= m.memBytes {
 		m.mem[addr/8] ^= p.Mask
+		m.dirty(addr)
 	}
 	m.markInjected(c, p)
 }
@@ -761,6 +775,7 @@ func (m *Machine) memWrite(c *core, addr, val uint64) bool {
 	}
 	if buffered := m.HTM.Write(c.id, addr, val, c.sched.Now()); !buffered {
 		m.mem[addr/8] = val
+		m.dirty(addr)
 	}
 	if post != nil {
 		m.flipWord(c, addr, post)
@@ -788,6 +803,19 @@ func (m *Machine) Poke(addr, val uint64) {
 		panic(fmt.Sprintf("vm: Poke at invalid address %#x", addr))
 	}
 	m.mem[addr/8] = val
+	m.dirty(addr)
+}
+
+// dirty widens the dirty range to cover the word at byte address addr.
+// Every write into mem must call it, or Reset leaves the word stale.
+func (m *Machine) dirty(addr uint64) {
+	w := int(addr / 8)
+	if w < m.dirtyLo {
+		m.dirtyLo = w
+	}
+	if w >= m.dirtyHi {
+		m.dirtyHi = w + 1
+	}
 }
 
 // Peek reads a word directly from memory (host-side inspection only).

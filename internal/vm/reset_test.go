@@ -69,7 +69,7 @@ func TestResetDeterminism(t *testing.T) {
 		t.Fatalf("parse: %v", err)
 	}
 	// Default config keeps the spontaneous-abort RNG live, so the test
-	// also covers HTM RNG re-seeding.
+	// also covers rewinding the HTM RNG.
 	cfg := DefaultConfig()
 
 	fresh := New(m.Clone(), 2, cfg)
@@ -201,5 +201,79 @@ entry:
 	}
 	if mach.Stats() != (RunStats{}) {
 		t.Fatalf("stats not cleared by Reset: %+v", mach.Stats())
+	}
+}
+
+// TestResetRestoresInitializedGlobals: Reset clears only the written
+// word range, so it must re-copy exactly the initializer words inside
+// that range — including a range that starts or ends mid-global.
+func TestResetRestoresInitializedGlobals(t *testing.T) {
+	m, err := ir.Parse(resetProg)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	m.Global("g").Init = []uint64{1, 2, 3, 4, 5, 6, 7, 8}
+	m.Global("lk").Init = []uint64{9}
+	fresh := New(m.Clone(), 2, quietCfg())
+	mach := New(m.Clone(), 2, quietCfg())
+	g, lk := mach.Mod.Global("g").Addr, mach.Mod.Global("lk").Addr
+	for _, pokes := range [][]uint64{
+		{g + 24},                // one word inside g
+		{g + 40, lk},            // from mid-g into the next global
+		{lk, mach.memBytes - 8}, // from a global to the last stack word
+		{8, g + 8},              // from the first word to mid-g
+	} {
+		for _, a := range pokes {
+			mach.Poke(a, 0xdead)
+		}
+		mach.Reset()
+		if !reflect.DeepEqual(mach.mem, fresh.mem) {
+			t.Fatalf("pokes at %#x: memory after Reset differs from a fresh machine's", pokes)
+		}
+	}
+	// A run that writes the globals and the stacks resets as well.
+	runReset(t, mach)
+	mach.Reset()
+	if !reflect.DeepEqual(mach.mem, fresh.mem) {
+		t.Fatal("memory after a run and Reset differs from a fresh machine's")
+	}
+}
+
+// TestResetUndoesMemoryFaultOnLoad: a memory-cell fault on a load
+// flips a word that the run never writes, so only the flip itself
+// marks that word for Reset to restore.
+func TestResetUndoesMemoryFaultOnLoad(t *testing.T) {
+	m, err := ir.Parse(`
+global ro bytes=64
+
+func main(0) {
+entry:
+  v0 = load #4104
+  out v0
+  ret
+}
+`)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	m.Global("ro").Init = []uint64{10, 20, 30}
+	fresh := New(m.Clone(), 1, quietCfg())
+	mach := New(m.Clone(), 1, quietCfg())
+	if addr := mach.Mod.Global("ro").Addr; addr != 4096 {
+		t.Fatalf("ro laid out at %#x, the program loads from 4096+8", addr)
+	}
+	plan := &FaultPlan{Model: FaultMemory, TargetIndex: 0, Mask: 1 << 5}
+	mach.SetFaultPlan(plan)
+	mach.Run(ThreadSpec{Func: "main"})
+	if !plan.Injected || reflect.DeepEqual(mach.mem, fresh.mem) {
+		t.Fatal("the memory fault did not corrupt the loaded word")
+	}
+	mach.Reset()
+	if !reflect.DeepEqual(mach.mem, fresh.mem) {
+		t.Fatal("memory after Reset still holds the fault")
+	}
+	mach.Run(ThreadSpec{Func: "main"})
+	if out := mach.Output(); !reflect.DeepEqual(out, []uint64{20}) {
+		t.Fatalf("post-reset output %v, want [20]", out)
 	}
 }

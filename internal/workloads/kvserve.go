@@ -96,8 +96,8 @@ func KVServe(cfg KVServeConfig) *Program {
 	}
 
 	m := ir.NewModule()
-	// The handler never mallocs; a small heap keeps Machine.Reset —
-	// which zeroes the whole arena — cheap on the serving hot path.
+	// The handler never mallocs; a small heap keeps each warm-pool
+	// machine's memory small.
 	m.HeapBytes = 1 << 14
 	reqs := m.AddGlobal(KVReqsGlobal, int64(cfg.MaxBatch)*8)
 	reqs.Align = 64
